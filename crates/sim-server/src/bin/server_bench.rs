@@ -33,8 +33,9 @@
 //! `sim_server` backends behind a `sim_router` and drives one
 //! closed-loop client per shard, each pinned (by consistent-hash ring
 //! prediction) to a distinct shard's record stream. Job runtime is
-//! sized well under the client's poll quantum, so per-client cycle
-//! time is poll-latency-bound and fleet throughput scales with shard
+//! sized to outlast the first poll but not the client's poll quantum,
+//! so per-client cycle time is poll-latency-bound and fleet throughput
+//! scales with shard
 //! count — *weak scaling*, measurable even on a single-core host where
 //! a CPU-saturated strong-scaling run could never separate the
 //! configurations. Hard-fails below 1.7x at 2 shards.
@@ -75,9 +76,11 @@ struct Scale {
     fanout_configs: usize,
     /// Identical submissions in the duplicate-storm phase.
     dup_jobs: usize,
-    /// Workload length per job in the sharding phase — deliberately
-    /// short so job runtime stays well under the client poll quantum
-    /// and the phase measures weak scaling, not CPU saturation.
+    /// Workload length per job in the sharding phase — sized so a job
+    /// outlasts the client's first poll but finishes well inside its
+    /// 20 ms poll quantum. Every cycle is then one quantum, and the
+    /// phase measures weak scaling, not CPU saturation or the race
+    /// between a short job and the first poll.
     router_length: u64,
     /// Jobs per closed-loop client in the sharding phase.
     router_jobs_per_client: usize,
@@ -93,7 +96,7 @@ const SCALES: [Scale; 3] = [
         overload_jobs: 8,
         fanout_configs: 8,
         dup_jobs: 4,
-        router_length: 8_000,
+        router_length: 60_000,
         router_jobs_per_client: 25,
     },
     Scale {
@@ -105,7 +108,7 @@ const SCALES: [Scale; 3] = [
         overload_jobs: 12,
         fanout_configs: 8,
         dup_jobs: 6,
-        router_length: 12_000,
+        router_length: 60_000,
         router_jobs_per_client: 30,
     },
     Scale {
@@ -117,7 +120,7 @@ const SCALES: [Scale; 3] = [
         overload_jobs: 16,
         fanout_configs: 8,
         dup_jobs: 8,
-        router_length: 16_000,
+        router_length: 60_000,
         router_jobs_per_client: 40,
     },
 ];
@@ -527,8 +530,8 @@ fn duplicate_phase(scale: &Scale) -> (f64, u64, u64) {
 //
 // One closed-loop client per shard, each driving a record stream the
 // consistent-hash ring homes on a *distinct* shard, with job runtime
-// well under the client's 20 ms poll quantum. Per-client cycle time is
-// then poll-latency-bound — the same on one shard or many — so fleet
+// longer than a routed round trip but well under the client's 20 ms
+// poll quantum. Per-client cycle time is then poll-latency-bound — the same on one shard or many — so fleet
 // throughput grows with shard count as long as the fleet keeps jobs
 // off each other's queues. That is exactly the router's job, and it
 // holds on a single-core host too (N concurrent short jobs still

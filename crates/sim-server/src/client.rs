@@ -2,7 +2,7 @@
 //! `sim_client`, `server_bench`, and the integration tests.
 
 use std::io::{self, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::http::{read_response, ClientResponse};
@@ -25,6 +25,27 @@ impl Connection {
                 format!("cannot connect to {addr}: {e} (is the server up? check GET /healthz)"),
             )
         })?;
+        Connection::over(stream)
+    }
+
+    /// Like [`Connection::connect`], but gives up on connecting after
+    /// `connect_timeout` and on any later read or write that stalls for
+    /// `io_timeout` (the router's proxied exchanges and probes).
+    pub fn connect_with_timeouts(
+        addr: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Connection> {
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("unresolvable address {addr}"))
+        })?;
+        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Connection::over(stream)
+    }
+
+    fn over(stream: TcpStream) -> io::Result<Connection> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Connection { reader: BufReader::new(stream), writer })

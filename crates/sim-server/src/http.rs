@@ -62,6 +62,13 @@ pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
     Ok(Some(Request { method, path, headers, body }))
 }
 
+/// Splits a `/jobs/<id>[/result]` path into the id text and whether
+/// the result document was asked for.
+pub(crate) fn job_target(path: &str) -> (&str, bool) {
+    let rest = path.strip_prefix("/jobs/").unwrap_or(path);
+    rest.strip_suffix("/result").map_or((rest, false), |id| (id, true))
+}
+
 /// A response about to be written: status, extra headers, body.
 #[derive(Debug)]
 pub struct Response {
@@ -82,6 +89,11 @@ impl Response {
             headers: vec![("content-type".to_owned(), "application/json".to_owned())],
             body: body.into().into_bytes(),
         }
+    }
+
+    /// A JSON `{"error": message}` response with the given status.
+    pub fn error(status: u16, message: &str) -> Response {
+        Response::json(status, format!("{{\"error\":{}}}", crate::json::escape(message)))
     }
 
     /// Adds a header field.
@@ -211,6 +223,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         429 => "Too Many Requests",
         500 => "Internal Server Error",

@@ -41,6 +41,12 @@
 //! these servers, sharding submissions by canonical source key on a
 //! consistent-hash [`ring`] so each shard's caches stay hot for "its"
 //! record streams; [`router`]'s module docs carry the fleet diagram.
+//!
+//! Both services run on one skeleton, [`service`]: one accept thread,
+//! one thread per connection, the request-read rule (poll only for a
+//! request's first byte, then read it whole or answer `408`), the
+//! in-flight drain, and the binaries' signal epilogue. [`Server`] and
+//! [`Router`] each supply only a handler.
 
 pub mod client;
 pub mod http;
@@ -52,11 +58,13 @@ pub mod result_cache;
 pub mod ring;
 pub mod router;
 pub mod server;
+pub mod service;
 
 pub use client::Connection;
 pub use jobspec::{JobError, JobSource, JobSpec};
 pub use queue::BoundedQueue;
 pub use result_cache::{ResultCache, ResultCacheStats};
 pub use ring::HashRing;
-pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{JobStatus, Server, ServerConfig, ShutdownHandle};
+pub use router::{Router, RouterConfig};
+pub use server::{JobStatus, Server, ServerConfig};
+pub use service::ServiceHandle;

@@ -31,13 +31,15 @@
 //! routed trace-job result is still byte-for-byte what a local
 //! `champsim-run --metrics` writes) survives the extra hop.
 //!
-//! Shutdown is a single-grade drain: new submissions get `503` while
-//! status polls, result fetches, `/healthz`, and `/metrics` keep
-//! working; [`Router::join`] returns once the last in-flight proxied
-//! request has been answered.
+//! Shutdown is a single-grade drain (an abort request drains too): new
+//! submissions get `503` while status polls, result fetches,
+//! `/healthz`, and `/metrics` keep working; [`Router::join`] returns
+//! once the last in-flight proxied request has been answered.
+//! Listening and connections are the shared [`service`](crate::service)
+//! skeleton's.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -45,17 +47,12 @@ use std::time::Duration;
 
 use telemetry::{catalog, Registry};
 
-use crate::http::{read_request, read_response, ClientResponse, Request, Response};
+use crate::client::Connection;
+use crate::http::{job_target, ClientResponse, Request, Response};
 use crate::jobspec::JobSpec;
 use crate::json;
 use crate::ring::{HashRing, DEFAULT_VNODES};
-
-/// How often blocked reads and the accept loop re-check shutdown flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Read/write deadline on a proxied backend exchange. Generous: every
-/// backend endpoint answers without waiting on job execution.
-const PROXY_IO_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::service::{Handler, Service, ServiceHandle, IO_TIMEOUT, POLL_INTERVAL};
 
 /// Router construction parameters.
 #[derive(Debug, Clone)]
@@ -169,12 +166,6 @@ struct Shared {
     ring: HashRing,
     backends: Vec<Backend>,
     metrics: RouterMetrics,
-    /// Submissions refused (`503`); polls and fetches still served.
-    shutting_down: AtomicBool,
-    /// Connection threads and loops exit at next poll.
-    terminate: AtomicBool,
-    /// Requests currently being handled; the drain waits on zero.
-    inflight: AtomicU64,
 }
 
 impl Shared {
@@ -182,12 +173,43 @@ impl Shared {
         self.backends.iter().filter(|b| b.healthy.load(Ordering::SeqCst)).count()
     }
 
+    /// One short-lived proxied exchange with a backend.
+    fn forward(
+        &self,
+        addr: &str,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> io::Result<ClientResponse> {
+        Connection::connect_with_timeouts(addr, self.config.connect_timeout, IO_TIMEOUT)?
+            .send(method, path, body)
+    }
+}
+
+impl Handler for Shared {
+    fn handle(&self, request: &Request, service: &ServiceHandle) -> Response {
+        let path = request.path.as_str();
+        match (request.method.as_str(), path) {
+            ("POST", "/jobs") => forward_submit(request, self, service),
+            ("GET", "/healthz") => healthz(self, service),
+            ("GET", "/metrics") => Response::json(200, self.metrics_json()),
+            ("POST", "/shutdown") => {
+                service.begin_shutdown(false);
+                Response::json(200, "{\"status\":\"shutting down\"}")
+            }
+            ("GET", _) if path.starts_with("/jobs/") => proxy_job_get(path, self),
+            (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
+                Response::error(405, "method not allowed")
+            }
+            (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
+            _ => Response::error(404, "no such endpoint"),
+        }
+    }
+
     fn metrics_json(&self) -> String {
         let mut fleet = FleetTotals::default();
         for backend in &self.backends {
-            let Ok(response) =
-                forward_once(&backend.addr, "GET", "/metrics", "", self.config.connect_timeout)
-            else {
+            let Ok(response) = self.forward(&backend.addr, "GET", "/metrics", "") else {
                 continue;
             };
             if response.status != 200 {
@@ -206,15 +228,14 @@ impl Shared {
 /// A running sharding router; see the module docs for the data flow.
 pub struct Router {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    service: Service,
+    health: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds `config.addr`, probes every backend once (a backend down
-    /// at startup begins life ejected), and spawns the accept loop and
-    /// the health checker.
+    /// Probes every backend once (a backend down at startup begins
+    /// life ejected), binds `config.addr`, and spawns the accept loop
+    /// and the health checker.
     pub fn start(config: RouterConfig) -> io::Result<Router> {
         if config.backends.is_empty() {
             return Err(io::Error::new(
@@ -222,9 +243,6 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let ring = HashRing::new(&config.backends, config.vnodes);
         let backends: Vec<Backend> = config
             .backends
@@ -234,48 +252,28 @@ impl Router {
                 addr: addr.clone(),
             })
             .collect();
-        let shared = Arc::new(Shared {
-            config,
-            ring,
-            backends,
-            metrics: RouterMetrics::default(),
-            shutting_down: AtomicBool::new(false),
-            terminate: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
-        });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("router-accept".to_owned())
-                .spawn(move || accept_loop(listener, &shared))
-                .expect("spawn accept loop")
-        };
+        let shared = Arc::new(Shared { config, ring, backends, metrics: RouterMetrics::default() });
+        let service = Service::start(&shared.config.addr, "router", shared.clone())?;
         let health = {
             let shared = Arc::clone(&shared);
+            let service = service.handle().clone();
             thread::Builder::new()
                 .name("router-health".to_owned())
-                .spawn(move || health_loop(&shared))
-                .expect("spawn health loop")
+                .spawn(move || health_loop(&shared, &service))?
         };
-        Ok(Router { shared, local_addr, accept: Some(accept), health: Some(health) })
+        Ok(Router { shared, service, health })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.handle().local_addr()
     }
 
     /// Starts the drain without blocking: new submissions get `503`,
     /// everything else keeps serving. Idempotent; call
     /// [`Router::join`] afterwards to wait it out.
     pub fn begin_shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested (signal handler, the
-    /// `/shutdown` endpoint, or [`Router::begin_shutdown`]).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+        self.service.handle().begin_shutdown(false);
     }
 
     /// Backends the health checker currently considers live.
@@ -283,79 +281,25 @@ impl Router {
         self.shared.healthy_count()
     }
 
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-
-    /// A cloneable handle that outlives [`Router::join`]; signal
-    /// handlers use it to trigger the drain, and the binary uses it to
-    /// flush final metrics afterwards.
-    pub fn shutdown_handle(&self) -> RouterHandle {
-        RouterHandle { shared: Arc::clone(&self.shared) }
+    /// A cloneable handle that outlives [`Router::join`]; see
+    /// [`ServiceHandle`].
+    pub fn shutdown_handle(&self) -> ServiceHandle {
+        self.service.handle().clone()
     }
 
     /// Drains and stops: refuses new submissions, waits for in-flight
     /// proxied requests to finish, then tears down the accept and
     /// health loops.
-    pub fn join(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        while self.shared.inflight.load(Ordering::SeqCst) > 0 {
-            thread::sleep(Duration::from_millis(5));
-        }
-        self.shared.terminate.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(health) = self.health.take() {
-            let _ = health.join();
-        }
+    pub fn join(self) {
+        self.service.join();
+        let _ = self.health.join();
     }
 }
 
-/// See [`Router::shutdown_handle`].
-#[derive(Clone)]
-pub struct RouterHandle {
-    shared: Arc<Shared>,
-}
-
-impl RouterHandle {
-    /// Same as [`Router::begin_shutdown`]; callable while (or after)
-    /// another thread joins the router.
-    pub fn begin_shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("router-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn health_loop(shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
+fn health_loop(shared: &Shared, service: &ServiceHandle) {
+    while !service.terminating() {
         for backend in &shared.backends {
-            if shared.terminate.load(Ordering::SeqCst) {
+            if service.terminating() {
                 return;
             }
             let live = probe(&backend.addr, shared.config.connect_timeout);
@@ -367,7 +311,7 @@ fn health_loop(shared: &Arc<Shared>) {
             }
         }
         let mut slept = Duration::ZERO;
-        while slept < shared.config.health_interval && !shared.terminate.load(Ordering::SeqCst) {
+        while slept < shared.config.health_interval && !service.terminating() {
             let step = Duration::from_millis(10).min(shared.config.health_interval - slept);
             thread::sleep(step);
             slept += step;
@@ -379,14 +323,9 @@ fn health_loop(shared: &Arc<Shared>) {
 /// `"status":"ok"`. A *draining* backend reports `"draining"` and is
 /// treated as unhealthy — it would refuse new submissions anyway.
 fn probe(addr: &str, timeout: Duration) -> bool {
-    match forward_once_with_deadline(
-        addr,
-        "GET",
-        "/healthz",
-        "",
-        timeout,
-        timeout.max(POLL_INTERVAL),
-    ) {
+    let probed = Connection::connect_with_timeouts(addr, timeout, timeout.max(POLL_INTERVAL))
+        .and_then(|mut conn| conn.send("GET", "/healthz", ""));
+    match probed {
         Ok(response) if response.status == 200 => {
             let text = response.text();
             json::Value::parse(&text)
@@ -400,81 +339,22 @@ fn probe(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.terminate.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = format!("{{\"error\":{}}}", json::escape(&e.to_string()));
-                let _ = Response::json(400, body).write(&mut writer, true);
-                return;
-            }
-            Err(_) => return,
-        };
-        let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
-        // The in-flight window covers routing AND writing the reply, so
-        // a drain never cuts a proxied response mid-stream.
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let response = route(&request, shared);
-        let wrote = response.write(&mut writer, close);
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        if wrote.is_err() || close {
-            return;
-        }
-    }
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => forward_submit(request, shared),
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => Response::json(200, shared.metrics_json()),
-        ("POST", "/shutdown") => {
-            shared.shutting_down.store(true, Ordering::SeqCst);
-            Response::json(200, "{\"status\":\"shutting down\"}")
-        }
-        ("GET", _) if path.starts_with("/jobs/") => proxy_job_get(path, shared),
-        (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            error_response(405, "method not allowed")
-        }
-        (_, _) if path.starts_with("/jobs/") => error_response(405, "method not allowed"),
-        _ => error_response(404, "no such endpoint"),
-    }
-}
-
 /// Validates the spec locally (a bad body earns its `400` without
 /// touching any shard), routes by source key, and walks the ring's
 /// distinct replicas until one accepts. `429`/`503` answers and
 /// unreachable shards both advance the walk; busy shards additionally
 /// pace it with capped exponential backoff.
-fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_response(503, "router is draining").with_header("retry-after", "1");
+fn forward_submit(request: &Request, shared: &Shared, service: &ServiceHandle) -> Response {
+    if service.shutdown_requested() {
+        return Response::error(503, "router is draining").with_header("retry-after", "1");
     }
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
-        Err(_) => return error_response(400, "body is not UTF-8"),
+        Err(_) => return Response::error(400, "body is not UTF-8"),
     };
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
-        Err(message) => return error_response(400, &message),
+        Err(message) => return Response::error(400, &message),
     };
     let preference = shared.ring.preference(&spec.source_key());
     // Prefer live shards in ring order; when the health checker has
@@ -497,7 +377,7 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
             }
         }
         let backend = &shared.backends[index];
-        match forward_once(&backend.addr, "POST", "/jobs", body, shared.config.connect_timeout) {
+        match shared.forward(&backend.addr, "POST", "/jobs", body) {
             Ok(response) if response.status == 202 => {
                 shared.metrics.note_routed();
                 let text = response.text();
@@ -523,12 +403,12 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
     match retry_after {
         Some(seconds) => {
             shared.metrics.note_rejected();
-            error_response(429, "every shard refused the job")
+            Response::error(429, "every shard refused the job")
                 .with_header("retry-after", &seconds.to_string())
         }
         None => {
             shared.metrics.note_unroutable();
-            error_response(503, "no shard is reachable").with_header("retry-after", "1")
+            Response::error(503, "no shard is reachable").with_header("retry-after", "1")
         }
     }
 }
@@ -536,17 +416,13 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
 /// Proxy `GET /jobs/s<shard>-<id>[/result]` to the owning shard.
 /// Health status is ignored here: a draining shard still serves its
 /// job table, and the job's state lives nowhere else.
-fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = &path["/jobs/".len()..];
-    let (id_text, want_result) = match rest.strip_suffix("/result") {
-        Some(id_text) => (id_text, true),
-        None => (rest, false),
-    };
+fn proxy_job_get(path: &str, shared: &Shared) -> Response {
+    let (id_text, want_result) = job_target(path);
     let Some((shard, raw_id)) = parse_shard_id(id_text) else {
-        return error_response(404, "malformed job id (router job ids look like \"s0-17\")");
+        return Response::error(404, "malformed job id (router job ids look like \"s0-17\")");
     };
     if shard >= shared.backends.len() {
-        return error_response(
+        return Response::error(
             404,
             &format!("no shard s{shard} (this router fronts {} shards)", shared.backends.len()),
         );
@@ -554,7 +430,7 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
     let backend = &shared.backends[shard];
     let backend_path =
         if want_result { format!("/jobs/{raw_id}/result") } else { format!("/jobs/{raw_id}") };
-    match forward_once(&backend.addr, "GET", &backend_path, "", shared.config.connect_timeout) {
+    match shared.forward(&backend.addr, "GET", &backend_path, "") {
         // A finished result document is relayed verbatim: this is the
         // byte-identity anchor, never rewritten.
         Ok(response) if want_result && response.status == 200 => relay(response),
@@ -572,7 +448,7 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
                 None => relay(response),
             }
         }
-        Err(_) => error_response(
+        Err(_) => Response::error(
             503,
             &format!(
                 "shard s{shard} ({}) is unreachable; if it died, the job's state died \
@@ -584,8 +460,8 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
     }
 }
 
-fn healthz(shared: &Arc<Shared>) -> Response {
-    let draining = shared.shutting_down.load(Ordering::SeqCst);
+fn healthz(shared: &Shared, service: &ServiceHandle) -> Response {
+    let draining = service.shutdown_requested();
     let mut shards = String::from("[");
     for (index, backend) in shared.backends.iter().enumerate() {
         if index > 0 {
@@ -614,48 +490,6 @@ fn healthz(shared: &Arc<Shared>) -> Response {
 /// owns the long waits).
 fn backoff(attempt: usize) -> Duration {
     Duration::from_millis(25u64 << attempt.min(3))
-}
-
-/// One short-lived proxied exchange with a backend.
-fn forward_once(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    connect_timeout: Duration,
-) -> io::Result<ClientResponse> {
-    forward_once_with_deadline(addr, method, path, body, connect_timeout, PROXY_IO_TIMEOUT)
-}
-
-fn forward_once_with_deadline(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    connect_timeout: Duration,
-    io_timeout: Duration,
-) -> io::Result<ClientResponse> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: sim-router\r\nconnection: close\r\n");
-    if !body.is_empty() {
-        head.push_str(&format!(
-            "content-type: application/json\r\ncontent-length: {}\r\n",
-            body.len()
-        ));
-    }
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()?;
-    read_response(&mut BufReader::new(stream))
 }
 
 /// Rewrites a backend body's leading `{"id":<n>` to the
@@ -689,10 +523,6 @@ fn relay(response: ClientResponse) -> Response {
         .filter(|(name, _)| name != "content-length" && name != "connection")
         .collect();
     Response { status: response.status, headers, body: response.body }
-}
-
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{}}}", json::escape(message)))
 }
 
 /// Reads one counter/gauge value out of a `/metrics` registry

@@ -1,11 +1,12 @@
-//! The job service itself: listener, connection handling, worker pool,
-//! job table, and shutdown choreography.
+//! The job service itself: route table, worker pool, job table, and
+//! shutdown choreography. Listening and connections are the shared
+//! [`service`](crate::service) skeleton's.
 //!
 //! ```text
 //!                  connection threads                     worker pool
 //!   TCP accept ──▶ parse request ──▶ BoundedQueue ──────▶ pop (id, source key)
-//!   (nonblocking,     │   │ full       (depth N)          │ drain_matching:
-//!    poll loop)       │   └──▶ 429 + Retry-After          │ claim co-queued jobs
+//!   (service          │   │ full       (depth N)          │ drain_matching:
+//!    skeleton)        │   └──▶ 429 + Retry-After          │ claim co-queued jobs
 //!                     │                                   ▼ with same source key
 //!                     ├──▶ ResultCache hit ─▶ Done   JobSpec::execute_batch
 //!                     │    (canonical key)          (one fused streaming pass,
@@ -33,13 +34,13 @@
 //! (`begin_shutdown(true)`): the backlog is drained to `cancelled` and
 //! every in-flight token is tripped, so running simulations stop at
 //! their next cooperative check and report `cancelled`. In both grades
-//! [`Server::join`] returns only after the workers and the accept loop
-//! have exited.
+//! [`Server::join`] returns only after the workers have exited and every
+//! in-flight request has been answered.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -47,15 +48,13 @@ use std::time::{Duration, Instant};
 use experiments::ArtifactCache;
 use sim::CancelToken;
 
-use crate::http::{read_request, Request, Response};
+use crate::http::{job_target, Request, Response};
 use crate::jobspec::{JobError, JobSpec};
 use crate::json;
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::result_cache::ResultCache;
-
-/// How often blocked reads and the accept loop re-check shutdown flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+use crate::service::{Handler, Service, ServiceHandle};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -162,10 +161,6 @@ struct Shared {
     metrics: ServerMetrics,
     cache: ArtifactCache,
     result_cache: ResultCache,
-    /// Submissions refused (`503`); polls and fetches still served.
-    shutting_down: AtomicBool,
-    /// Connection threads and the accept loop exit at next poll.
-    terminate: AtomicBool,
 }
 
 impl Shared {
@@ -180,17 +175,59 @@ impl Shared {
     fn inflight_lock(&self) -> MutexGuard<'_, HashMap<String, Inflight>> {
         self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+}
+
+impl Handler for Shared {
+    fn handle(&self, request: &Request, service: &ServiceHandle) -> Response {
+        let path = request.path.as_str();
+        match (request.method.as_str(), path) {
+            ("POST", "/jobs") => submit(request, self, service),
+            ("GET", "/healthz") => healthz(self, service),
+            ("GET", "/metrics") => Response::json(200, self.metrics_json()),
+            ("POST", "/shutdown") => shutdown_endpoint(request, service),
+            ("GET", _) if path.starts_with("/jobs/") => job_endpoint(path, self),
+            (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
+                Response::error(405, "method not allowed")
+            }
+            (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
+            _ => Response::error(404, "no such endpoint"),
+        }
+    }
 
     fn metrics_json(&self) -> String {
         self.metrics.export(self.queue.len(), self.result_cache.stats()).to_json()
+    }
+
+    /// Closes the queue; with `abort`, also cancels the backlog and
+    /// trips every job's token.
+    fn on_shutdown(&self, abort: bool) {
+        if !abort {
+            self.queue.close();
+            return;
+        }
+        let mut doomed: Vec<u64> =
+            self.queue.close_and_drain().into_iter().map(|(id, _)| id).collect();
+        // Followers never sit in the queue; drain the in-flight map so
+        // they are not stranded waiting for a primary that will report
+        // cancellation (or was itself just drained).
+        for (_, entry) in self.inflight_lock().drain() {
+            doomed.extend(entry.followers);
+        }
+        for id in doomed {
+            if let Some(job) = self.job(id) {
+                cancel_job(self, &job);
+            }
+        }
+        for job in self.jobs_lock().values() {
+            job.token.cancel();
+        }
     }
 }
 
 /// A running job service; see the module docs for the thread layout.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    service: Service,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -198,9 +235,6 @@ impl Server {
     /// Binds `config.addr`, spawns the worker pool and accept loop, and
     /// returns once the listener is live.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_depth),
@@ -211,9 +245,8 @@ impl Server {
             next_id: AtomicU64::new(1),
             metrics: ServerMetrics::default(),
             cache: ArtifactCache::with_spill(None),
-            shutting_down: AtomicBool::new(false),
-            terminate: AtomicBool::new(false),
         });
+        let service = Service::start(&shared.config.addr, "sim", shared.clone())?;
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -223,19 +256,12 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("sim-accept".to_owned())
-                .spawn(move || accept_loop(listener, &shared))
-                .expect("spawn accept loop")
-        };
-        Ok(Server { shared, local_addr, accept: Some(accept), workers })
+        Ok(Server { shared, service, workers })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.handle().local_addr()
     }
 
     /// Starts shutdown without blocking: refuse new submissions, close
@@ -243,13 +269,13 @@ impl Server {
     /// Idempotent. Call [`Server::join`] afterwards to wait out the
     /// drain.
     pub fn begin_shutdown(&self, abort: bool) {
-        begin_shutdown(&self.shared, abort);
+        self.service.handle().begin_shutdown(abort);
     }
 
     /// `true` once shutdown has been requested (signal handler, the
     /// `/shutdown` endpoint, or [`Server::begin_shutdown`]).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+        self.service.handle().shutdown_requested()
     }
 
     /// Jobs accepted / rejected / completed so far (for smoke checks).
@@ -261,164 +287,36 @@ impl Server {
         )
     }
 
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-
-    /// A cloneable handle that outlives [`Server::join`]; signal
-    /// handlers use it to trigger (and escalate) shutdown, and the
-    /// binary uses it to flush final metrics after the drain.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { shared: Arc::clone(&self.shared) }
+    /// A cloneable handle that outlives [`Server::join`]; see
+    /// [`ServiceHandle`].
+    pub fn shutdown_handle(&self) -> ServiceHandle {
+        self.service.handle().clone()
     }
 
     /// Waits for the workers to finish the (possibly drained) backlog,
-    /// then stops the accept loop and open connections. Implies
-    /// [`Server::begin_shutdown`]`(false)` if shutdown wasn't already
-    /// requested.
-    pub fn join(mut self) {
-        begin_shutdown(&self.shared, false);
-        for worker in self.workers.drain(..) {
+    /// then drains in-flight requests and stops the accept loop and
+    /// open connections. Implies [`Server::begin_shutdown`]`(false)` if
+    /// shutdown wasn't already requested.
+    pub fn join(self) {
+        self.begin_shutdown(false);
+        for worker in self.workers {
             let _ = worker.join();
         }
-        self.shared.terminate.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.service.join();
     }
 }
 
-/// See [`Server::shutdown_handle`].
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    shared: Arc<Shared>,
-}
-
-impl ShutdownHandle {
-    /// Same as [`Server::begin_shutdown`]; callable while (or after)
-    /// another thread joins the server.
-    pub fn begin_shutdown(&self, abort: bool) {
-        begin_shutdown(&self.shared, abort);
-    }
-
-    /// `true` once shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-}
-
-fn begin_shutdown(shared: &Shared, abort: bool) {
-    shared.shutting_down.store(true, Ordering::SeqCst);
-    if abort {
-        let mut doomed: Vec<u64> =
-            shared.queue.close_and_drain().into_iter().map(|(id, _)| id).collect();
-        // Followers never sit in the queue; drain the in-flight map so
-        // they are not stranded waiting for a primary that will report
-        // cancellation (or was itself just drained).
-        for (_, entry) in shared.inflight_lock().drain() {
-            doomed.extend(entry.followers);
-        }
-        for id in doomed {
-            if let Some(job) = shared.job(id) {
-                let mut state = job.lock();
-                if !state.status.is_terminal() {
-                    state.status = JobStatus::Cancelled;
-                    state.finished = Some(Instant::now());
-                    shared.metrics.note_cancelled();
-                }
-            }
-        }
-        for job in shared.jobs_lock().values() {
-            job.token.cancel();
-        }
-    } else {
-        shared.queue.close();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("sim-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.terminate.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = format!("{{\"error\":{}}}", json::escape(&e.to_string()));
-                let _ = Response::json(400, body).write(&mut writer, true);
-                return;
-            }
-            Err(_) => return,
-        };
-        let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
-        let response = route(&request, shared);
-        if response.write(&mut writer, close).is_err() || close {
-            return;
-        }
-    }
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => submit(request, shared),
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => Response::json(200, shared.metrics_json()),
-        ("POST", "/shutdown") => shutdown_endpoint(request, shared),
-        ("GET", _) if path.starts_with("/jobs/") => job_endpoint(path, shared),
-        (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            error_response(405, "method not allowed")
-        }
-        (_, _) if path.starts_with("/jobs/") => error_response(405, "method not allowed"),
-        _ => error_response(404, "no such endpoint"),
-    }
-}
-
-fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_response(503, "server is shutting down");
+fn submit(request: &Request, shared: &Shared, service: &ServiceHandle) -> Response {
+    if service.shutdown_requested() {
+        return Response::error(503, "server is shutting down");
     }
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
-        Err(_) => return error_response(400, "body is not UTF-8"),
+        Err(_) => return Response::error(400, "body is not UTF-8"),
     };
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
-        Err(message) => return error_response(400, &message),
+        Err(message) => return Response::error(400, &message),
     };
     let canonical_key = spec.canonical_key();
     let source_key = spec.source_key();
@@ -493,7 +391,7 @@ fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
         let followers = remove_inflight_entry(shared, &canonical_key, id);
         promote_followers(shared, followers);
         shared.metrics.note_rejected();
-        return error_response(429, "queue full").with_header("retry-after", "1");
+        return Response::error(429, "queue full").with_header("retry-after", "1");
     }
     shared.metrics.note_accepted();
     Response::json(202, format!("{{\"id\":{id},\"status\":\"queued\"}}"))
@@ -511,8 +409,8 @@ fn remove_inflight_entry(shared: &Shared, key: &str, id: u64) -> Vec<u64> {
     }
 }
 
-fn healthz(shared: &Arc<Shared>) -> Response {
-    let status = if shared.shutting_down.load(Ordering::SeqCst) { "draining" } else { "ok" };
+fn healthz(shared: &Shared, service: &ServiceHandle) -> Response {
+    let status = if service.shutdown_requested() { "draining" } else { "ok" };
     Response::json(
         200,
         format!(
@@ -523,28 +421,24 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     )
 }
 
-fn shutdown_endpoint(request: &Request, shared: &Arc<Shared>) -> Response {
+fn shutdown_endpoint(request: &Request, service: &ServiceHandle) -> Response {
     let abort = std::str::from_utf8(&request.body)
         .ok()
         .filter(|body| !body.trim().is_empty())
         .and_then(|body| json::Value::parse(body).ok())
         .and_then(|v| v.get("abort").and_then(json::Value::as_bool))
         .unwrap_or(false);
-    begin_shutdown(shared, abort);
+    service.begin_shutdown(abort);
     Response::json(200, format!("{{\"status\":\"shutting down\",\"abort\":{abort}}}"))
 }
 
-fn job_endpoint(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = &path["/jobs/".len()..];
-    let (id_text, want_result) = match rest.strip_suffix("/result") {
-        Some(id_text) => (id_text, true),
-        None => (rest, false),
-    };
+fn job_endpoint(path: &str, shared: &Shared) -> Response {
+    let (id_text, want_result) = job_target(path);
     let Ok(id) = id_text.parse::<u64>() else {
-        return error_response(404, "malformed job id");
+        return Response::error(404, "malformed job id");
     };
     let Some(job) = shared.job(id) else {
-        return error_response(404, "no such job");
+        return Response::error(404, "no such job");
     };
     if want_result {
         job_result(id, &job)
@@ -597,10 +491,6 @@ fn job_status_json(id: u64, job: &Job) -> String {
     }
     body.push('}');
     body
-}
-
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{}}}", json::escape(message)))
 }
 
 fn worker_loop(shared: &Arc<Shared>) {

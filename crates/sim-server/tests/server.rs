@@ -10,7 +10,7 @@ use std::time::Duration;
 use champsim_trace::{ChampsimRecord, ChampsimWriter};
 use converter::{Converter, ImprovementSet};
 use sim::{CoreConfig, RunOptions, Simulator};
-use sim_server::{Connection, Server, ServerConfig};
+use sim_server::{Connection, Router, RouterConfig, Server, ServerConfig};
 use trace_store::{ChampsimTraceReader, ChampsimzWriter};
 use workloads::{TraceSpec, WorkloadKind};
 
@@ -268,29 +268,47 @@ fn truncated_store_job_fails_with_diagnostic() {
 }
 
 /// Protocol-level error paths: malformed bodies, bad ids, unknown
-/// endpoints, wrong methods.
+/// endpoints, wrong methods — on a server and on a router in front of
+/// it, which share the skeleton and agree on these statuses.
 #[test]
 fn api_error_paths_are_diagnosed_not_dropped() {
     let server = start_server(4, 1, Duration::from_secs(60));
-    let addr = server.local_addr().to_string();
-    let mut conn = Connection::connect(&addr).unwrap();
+    let router = Router::start(RouterConfig {
+        backends: vec![server.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    for addr in [server.local_addr(), router.local_addr()] {
+        let mut conn = Connection::connect(&addr.to_string()).unwrap();
+        let bad_json = conn.send("POST", "/jobs", "{not json").unwrap();
+        assert_eq!(bad_json.status, 400, "{addr}");
+        assert!(bad_json.text().contains("at byte"), "{addr}: {}", bad_json.text());
 
-    let bad_json = conn.send("POST", "/jobs", "{not json").unwrap();
-    assert_eq!(bad_json.status, 400);
-    assert!(bad_json.text().contains("at byte"), "{}", bad_json.text());
+        let bad_spec = conn.send("POST", "/jobs", r#"{"workload": {"kind": "quantum"}}"#).unwrap();
+        assert_eq!(bad_spec.status, 400, "{addr}");
+        assert!(bad_spec.text().contains("unknown workload kind"), "{addr}");
 
-    let bad_spec = conn.send("POST", "/jobs", r#"{"workload": {"kind": "quantum"}}"#).unwrap();
-    assert_eq!(bad_spec.status, 400);
-    assert!(bad_spec.text().contains("unknown workload kind"));
+        assert_eq!(conn.send("GET", "/nope", "").unwrap().status, 404, "{addr}");
+        assert_eq!(conn.send("DELETE", "/jobs", "").unwrap().status, 405, "{addr}");
+    }
 
+    let mut conn = Connection::connect(&server.local_addr().to_string()).unwrap();
     assert_eq!(conn.send("GET", "/jobs/999", "").unwrap().status, 404);
     assert_eq!(conn.send("GET", "/jobs/bogus", "").unwrap().status, 404);
-    assert_eq!(conn.send("GET", "/nope", "").unwrap().status, 404);
-    assert_eq!(conn.send("DELETE", "/jobs", "").unwrap().status, 405);
-
     let metrics = conn.send("GET", "/metrics", "").unwrap();
     assert_eq!(metrics.status, 200);
     assert!(metrics.text().contains("server.jobs.accepted"));
+
+    // Router-only: ids must be shard-qualified and name a fronted shard.
+    let mut conn = Connection::connect(&router.local_addr().to_string()).unwrap();
+    let bogus = conn.send("GET", "/jobs/bogus", "").unwrap();
+    assert_eq!(bogus.status, 404);
+    assert!(bogus.text().contains("s0-17"), "{}", bogus.text());
+    let no_shard = conn.send("GET", "/jobs/s9-1", "").unwrap();
+    assert_eq!(no_shard.status, 404);
+    assert!(no_shard.text().contains("no shard s9"), "{}", no_shard.text());
+
+    router.join();
     server.join();
 }
 
