@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! header : "TRZB" version stream_kind filter reserved          (8 bytes)
-//! block  : 0x01 flags records_u32 raw_u32 comp_u32 fnv64      (22 bytes)
+//! block  : 0x01 flags records_u32 raw_u32 comp_u32 check_u64  (22 bytes)
 //!          payload[comp]
 //! end    : 0x00
 //! index  : { offset_u64 records_u32 raw_u32 } * block_count
@@ -14,24 +14,37 @@
 //!
 //! All integers are little-endian. `flags` bit 0 says whether the
 //! payload is LZ-compressed (1) or stored raw (0; chosen when the codec
-//! fails to shrink the block). The checksum is FNV-1a 64 over the
-//! **original, unfiltered** block bytes, so it also catches bugs in the
-//! delta filters, not just storage corruption. Sequential readers never
-//! touch the index; seekable readers reach any block in O(1) through
-//! the tail.
+//! fails to shrink the block). The checksum covers the **original,
+//! unfiltered** block bytes, so it also catches bugs in the delta
+//! filters, not just storage corruption. Every block is verified before
+//! any of its bytes are returned. Seekable readers reach any block in
+//! O(1) through the tail.
+//!
+//! The version byte selects the checksum and nothing else:
+//!
+//! * version 2 (written): XXH64 with seed 0, four 8-byte lanes;
+//! * version 1 (read only): FNV-1a 64, one byte at a time.
+//!
+//! Both versions share every other byte of the layout, so a version-1
+//! store rewritten today differs only in its header's version byte and
+//! each block's checksum field.
+//!
+//! Sequential readers skip the index, but check the tail after the end
+//! marker: its block count must match the blocks read, so a corrupted
+//! marker cannot end the stream early.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use crate::error::StoreError;
 use crate::filter::Filter;
-use crate::lz;
+use crate::lz::{self, read_u64};
 
 /// File magic for the store header.
 pub const MAGIC: [u8; 4] = *b"TRZB";
 /// Magic terminating the footer tail.
 pub const TAIL_MAGIC: [u8; 4] = *b"TRZX";
-/// Container format version this crate reads and writes.
-pub const VERSION: u8 = 1;
+/// Container format version this crate writes (it also reads version 1).
+pub const VERSION: u8 = 2;
 /// Stream-kind byte for CVP-1 record streams.
 pub const STREAM_CVP: u8 = 1;
 /// Stream-kind byte for ChampSim 64-byte record streams.
@@ -54,7 +67,17 @@ const FLAG_LZ: u8 = 0x01;
 const TAIL_BYTES: usize = 8 + 8 + 8 + 4;
 const INDEX_ENTRY_BYTES: usize = 8 + 4 + 4;
 
-/// FNV-1a 64-bit over `bytes`.
+/// The block checksum a container `version` uses, or `None` for a
+/// version this build cannot read.
+fn checksum_for(version: u8) -> Option<fn(&[u8]) -> u64> {
+    match version {
+        1 => Some(fnv1a),
+        2 => Some(xxh64),
+        _ => None,
+    }
+}
+
+/// FNV-1a 64-bit over `bytes`: the version-1 block checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -62,6 +85,66 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+// The five XXH64 primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn xxh64_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh64_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// XXH64 with seed 0 over `bytes`: the version-2 block checksum. Four
+/// independent 8-byte lanes consume 32-byte stripes, so the multiply
+/// chains overlap instead of serializing on every byte.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh64_round(*acc, read_u64(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh64_merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh64_round(0, read_u64(word))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(half).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Volume counters accumulated by a [`BlockWriter`].
@@ -221,7 +304,7 @@ impl<W: Write> BlockWriter<W> {
             return Ok(());
         }
         let block = self.index.len() as u64;
-        let checksum = fnv1a(&self.buf);
+        let checksum = xxh64(&self.buf);
         self.filter.apply(&mut self.buf).map_err(|_| StoreError::CorruptBlock { block })?;
         self.comp.clear();
         lz::compress(&self.buf, &mut self.comp);
@@ -288,6 +371,7 @@ impl<W: Write> BlockWriter<W> {
 pub struct BlockReader<R> {
     inner: R,
     filter: Filter,
+    checksum: fn(&[u8]) -> u64,
     block: Vec<u8>,
     pos: usize,
     comp: Vec<u8>,
@@ -309,9 +393,9 @@ impl<R: Read> BlockReader<R> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
-    /// [`StoreError::WrongStreamKind`] on a bad header; I/O errors from
-    /// the source.
+    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`],
+    /// [`StoreError::WrongStreamKind`], or [`StoreError::UnsupportedFilter`]
+    /// on a bad header; I/O errors from the source.
     pub fn new(mut inner: R, expected_kind: u8) -> Result<BlockReader<R>, StoreError> {
         let mut header = [0u8; 8];
         inner.read_exact(&mut header).map_err(|e| {
@@ -324,19 +408,17 @@ impl<R: Read> BlockReader<R> {
         if header[..4] != MAGIC {
             return Err(StoreError::BadMagic);
         }
-        if header[4] != VERSION {
-            return Err(StoreError::UnsupportedVersion { version: header[4] });
-        }
+        let checksum =
+            checksum_for(header[4]).ok_or(StoreError::UnsupportedVersion { version: header[4] })?;
         if header[5] != expected_kind {
             return Err(StoreError::WrongStreamKind { found: header[5], expected: expected_kind });
         }
-        // An unknown filter ID means the store was written by a newer
-        // format revision than this reader understands.
         let filter = Filter::from_u8(header[6])
-            .ok_or(StoreError::UnsupportedVersion { version: header[6] })?;
+            .ok_or(StoreError::UnsupportedFilter { filter: header[6] })?;
         Ok(BlockReader {
             inner,
             filter,
+            checksum,
             block: Vec::new(),
             pos: 0,
             comp: Vec::new(),
@@ -355,6 +437,7 @@ impl<R: Read> BlockReader<R> {
         let mut marker = [0u8; 1];
         self.inner.read_exact(&mut marker).map_err(|e| truncated(e, block))?;
         if marker[0] == END_MARKER {
+            self.check_tail(block)?;
             self.done = true;
             return Ok(None);
         }
@@ -381,6 +464,24 @@ impl<R: Read> BlockReader<R> {
         Ok(Some(header))
     }
 
+    /// Skips the footer index after the end marker and checks the tail:
+    /// its magic and block count must match the `blocks` this stream
+    /// held, so an end marker written over a block marker is corruption
+    /// rather than a silently short stream.
+    fn check_tail(&mut self, blocks: u64) -> Result<(), StoreError> {
+        let index_bytes = blocks * INDEX_ENTRY_BYTES as u64;
+        if io::copy(&mut (&mut self.inner).take(index_bytes), &mut io::sink())? < index_bytes {
+            return Err(StoreError::TruncatedBlock { block: blocks });
+        }
+        let mut tail = [0u8; TAIL_BYTES];
+        self.inner.read_exact(&mut tail).map_err(|e| truncated(e, blocks))?;
+        let block_count = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
+        if tail[24..28] != TAIL_MAGIC || block_count != blocks {
+            return Err(StoreError::CorruptBlock { block: blocks });
+        }
+        Ok(())
+    }
+
     /// Decodes the payload described by `header` into `dst`, which must
     /// be exactly `header.raw_len` bytes.
     fn decode_payload(&mut self, header: &BlockHeader, dst: &mut [u8]) -> Result<(), StoreError> {
@@ -393,7 +494,7 @@ impl<R: Read> BlockReader<R> {
             self.inner.read_exact(dst).map_err(|e| truncated(e, block))?;
         }
         self.filter.invert(dst).map_err(|_| StoreError::CorruptBlock { block })?;
-        if fnv1a(dst) != header.checksum {
+        if (self.checksum)(dst) != header.checksum {
             return Err(StoreError::ChecksumMismatch { block });
         }
         self.block_idx += 1;
@@ -628,6 +729,23 @@ mod tests {
     }
 
     #[test]
+    fn end_marker_over_a_block_marker_is_corruption_not_a_short_stream() {
+        let records = sample_records(12);
+        let store = build_store(&records, 4);
+        let index =
+            BlockReader::new(Cursor::new(&store), STREAM_CVP).unwrap().read_index().unwrap();
+        let mut early_end = store.clone();
+        early_end[index.entries[1].offset as usize] = END_MARKER;
+        let mut r = BlockReader::new(early_end.as_slice(), STREAM_CVP).unwrap();
+        let err = r.read_to_end(&mut Vec::new()).unwrap_err();
+        assert!(matches!(StoreError::from(err), StoreError::CorruptBlock { block: 1 }));
+        // A store cut inside its footer is truncated, not complete.
+        let mut r = BlockReader::new(&store[..store.len() - 1], STREAM_CVP).unwrap();
+        let err = r.read_to_end(&mut Vec::new()).unwrap_err();
+        assert!(matches!(StoreError::from(err), StoreError::TruncatedBlock { block: 3 }));
+    }
+
+    #[test]
     fn header_validation_catches_mismatches() {
         let store = build_store(&sample_records(2), 4);
         match BlockReader::new(b"NOPE".as_slice(), STREAM_CVP) {
@@ -647,11 +765,74 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_known_answers() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one 32-byte stripe, then the word and byte tails.
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn unknown_version_names_the_readable_versions() {
+        let mut store = build_store(&sample_records(2), 4);
+        for version in [0u8, 3, 7] {
+            store[4] = version;
+            match BlockReader::new(store.as_slice(), STREAM_CVP) {
+                Err(e @ StoreError::UnsupportedVersion { .. }) => assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "unsupported trace-store version {version} \
+                         (this build reads versions 1 and 2)"
+                    )
+                ),
+                other => panic!("version {version}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_filter_is_not_reported_as_a_version() {
+        let mut store = build_store(&sample_records(2), 4);
+        for version in [1u8, VERSION] {
+            store[4] = version;
+            store[6] = 7;
+            match BlockReader::new(store.as_slice(), STREAM_CVP) {
+                Err(e @ StoreError::UnsupportedFilter { filter: 7 }) => {
+                    assert_eq!(e.to_string(), "unsupported trace-store filter 7");
+                }
+                other => panic!("version {version}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn version_byte_selects_the_block_checksum() {
+        let records = sample_records(12);
+        let store = build_store(&records, 4);
+        assert_eq!(store[4], VERSION);
+        let index =
+            BlockReader::new(Cursor::new(&store), STREAM_CVP).unwrap().read_index().unwrap();
+        // Restamp as version 1 with FNV-1a checksums: it reads back.
+        let mut v1 = store.clone();
+        v1[4] = 1;
+        for (entry, block) in index.entries.iter().zip(records.chunks(4)) {
+            let at = entry.offset as usize + 14;
+            v1[at..at + 8].copy_from_slice(&fnv1a(&block.concat()).to_le_bytes());
+        }
+        assert_eq!(read_all(&v1), records.concat());
+        // Version 1 over XXH64 checksums fails the first block.
+        let mut relabelled = store.clone();
+        relabelled[4] = 1;
+        let mut r = BlockReader::new(relabelled.as_slice(), STREAM_CVP).unwrap();
+        let err = r.read_to_end(&mut Vec::new()).unwrap_err();
+        assert!(matches!(StoreError::from(err), StoreError::ChecksumMismatch { block: 0 }));
+    }
+
+    #[test]
     fn missing_footer_is_a_bad_index() {
         let records = sample_records(6);
         let store = build_store(&records, 4);
-        // Chop the tail off: sequential reads still work up to the cut,
-        // but the index is gone.
+        // Chop the tail off: the index is gone.
         let cut = store.len() - TAIL_BYTES;
         let mut r = BlockReader::new(Cursor::new(&store[..cut]), STREAM_CVP).unwrap();
         match r.read_index() {

@@ -9,10 +9,16 @@ pub enum StoreError {
     Io(io::Error),
     /// The stream does not start with the store magic.
     BadMagic,
-    /// The container version byte is newer than this reader understands.
+    /// The container version byte is one this reader does not read
+    /// (it reads versions 1 and 2).
     UnsupportedVersion {
         /// The version byte found in the header.
         version: u8,
+    },
+    /// The header's delta-filter byte names no filter this reader knows.
+    UnsupportedFilter {
+        /// The filter byte found in the header.
+        filter: u8,
     },
     /// The header names a stream kind other than the one requested
     /// (e.g. opening a `.champsimz` file as a CVP store).
@@ -63,7 +69,13 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::BadMagic => f.write_str("not a trace store (bad magic)"),
             StoreError::UnsupportedVersion { version } => {
-                write!(f, "unsupported trace-store version {version}")
+                write!(
+                    f,
+                    "unsupported trace-store version {version} (this build reads versions 1 and 2)"
+                )
+            }
+            StoreError::UnsupportedFilter { filter } => {
+                write!(f, "unsupported trace-store filter {filter}")
             }
             StoreError::WrongStreamKind { found, expected } => {
                 write!(f, "wrong stream kind {found} (expected {expected})")
@@ -125,6 +137,7 @@ mod tests {
             StoreError::Io(io::Error::other("boom")),
             StoreError::BadMagic,
             StoreError::UnsupportedVersion { version: 9 },
+            StoreError::UnsupportedFilter { filter: 7 },
             StoreError::WrongStreamKind { found: 1, expected: 0 },
             StoreError::TruncatedBlock { block: 3 },
             StoreError::ChecksumMismatch { block: 4 },

@@ -12,9 +12,10 @@
 //! * each block is delta-filtered ([`mod@filter`]: PC, effective
 //!   address, and branch target become small strides) and then
 //!   LZ-compressed ([`mod@lz`]); incompressible blocks are stored raw;
-//! * each block carries an FNV-1a 64 checksum of its **original**
-//!   bytes, so corruption anywhere in the decode pipeline is caught and
-//!   reported with the block index;
+//! * each block carries an XXH64 checksum of its **original** bytes
+//!   (FNV-1a 64 in version-1 stores, which stay readable), so corruption
+//!   anywhere in the decode pipeline is caught and reported with the
+//!   block index before any of the block's bytes are returned;
 //! * a footer index maps block → file offset, giving O(1)
 //!   seek-to-block on seekable sources without scanning.
 //!

@@ -82,6 +82,17 @@ pub fn compress(src: &[u8], out: &mut Vec<u8>) -> usize {
         }
         let c = candidate - 1;
         let mut len = MIN_MATCH;
+        // Extend eight bytes at a time: the lowest differing byte of the
+        // XORed words ends the match. The byte loop finishes the last
+        // eight bytes of the block (or stops at once on a mismatch).
+        while i + len + 8 <= src.len() {
+            let diff = read_u64(&src[c + len..]) ^ read_u64(&src[i + len..]);
+            if diff != 0 {
+                len += (diff.trailing_zeros() / 8) as usize;
+                break;
+            }
+            len += 8;
+        }
         while i + len < src.len() && src[c + len] == src[i + len] {
             len += 1;
         }
@@ -147,14 +158,29 @@ pub fn decompress(src: &[u8], out: &mut [u8]) -> Result<(), LzCorrupt> {
         if offset == 0 || offset > d || d + match_len > out.len() {
             return Err(LzCorrupt);
         }
-        // Overlapping copies (offset < match_len) replicate runs, so the
-        // copy must walk forward byte by byte.
-        let from = d - offset;
-        for k in 0..match_len {
-            out[d + k] = out[from + k];
-        }
+        copy_match(out, d, offset, match_len);
         d += match_len;
     }
+}
+
+/// Copies `len` bytes from `offset` bytes back to `out[d..]`, with the
+/// semantics of a forward byte-by-byte copy. An overlapping match
+/// (`offset < len`) replicates a run of period `offset`; each chunk
+/// copies everything written since `from`, so the chunks double.
+fn copy_match(out: &mut [u8], d: usize, offset: usize, len: usize) {
+    let from = d - offset;
+    let end = d + len;
+    let mut p = d;
+    while p < end {
+        let chunk = (p - from).min(end - p);
+        out.copy_within(from..from + chunk, p);
+        p += chunk;
+    }
+}
+
+/// The first eight bytes of `bytes` as a little-endian word.
+pub(crate) fn read_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 fn read_len(src: &[u8], s: &mut usize) -> Result<usize, LzCorrupt> {
@@ -256,6 +282,30 @@ mod tests {
         assert_eq!(decompress(&packed, &mut short), Err(LzCorrupt));
         let mut long = vec![0u8; data.len() + 1];
         assert_eq!(decompress(&packed, &mut long), Err(LzCorrupt));
+    }
+
+    #[test]
+    fn match_copy_equals_byte_at_a_time_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut step = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for offset in 1..=130usize {
+            for _ in 0..8 {
+                let len = MIN_MATCH + (step() % 597) as usize;
+                let d = offset + (step() % 64) as usize;
+                let mut buf: Vec<u8> = (0..d + len + 16).map(|_| step() as u8).collect();
+                let mut reference = buf.clone();
+                for k in 0..len {
+                    reference[d + k] = reference[d - offset + k];
+                }
+                copy_match(&mut buf, d, offset, len);
+                assert_eq!(buf, reference, "offset {offset} len {len} at {d}");
+            }
+        }
     }
 
     #[test]
